@@ -147,56 +147,25 @@ class RliSender:
         known-pure injection policy (see :attr:`policy_pure`).  Anything
         else keeps the per-object reference path.  (The fat-tree layered
         driver lifts restriction (a) by recomputing the wiring's own
-        classifier vectorized — see :meth:`fast_scan_state_classes`.)
+        classifier vectorized.)
         """
         return self._classify is _classify_single and self.policy_pure
 
     # ------------------------------------------------------------------
     # inlined-scan state (columnar fast path)
 
-    def fast_scan_state(self) -> tuple:
-        """Mutable scalars an inlined observation scan advances.
-
-        Returns ``(seen_any, window_start, window_bytes, estimate, count,
-        has_class0)``.  A scanner holding these as locals must apply, per
-        observed packet, exactly the update algebra of :meth:`on_regular`
-        with the default classifier (fold EWMA windows crossed by the
-        arrival, add the packet's bytes, bump the 1-and-n counter against
-        ``policy.gap(estimate)`` — which only needs re-evaluating after a
-        fold — and emit :meth:`make_reference` on trigger), then hand the
-        scalars back via :meth:`fast_scan_commit`.  The equivalence suite
-        asserts the inlined scan is bitwise-identical to per-packet
-        :meth:`on_regular` calls.
-        """
-        seen_any, wstart, wbytes, estimate, counters = \
-            self.fast_scan_state_classes()
-        return (seen_any, wstart, wbytes, estimate,
-                counters.get(0, 0), 0 in counters)
-
-    def fast_scan_commit(self, seen_any: bool, window_start: float,
-                         window_bytes: int, estimate: float, count: int,
-                         regulars_seen: int) -> None:
-        """Write an inlined scan's advanced scalars back (see
-        :meth:`fast_scan_state`)."""
-        self.fast_scan_commit_classes(
-            seen_any, window_start, window_bytes, estimate,
-            {0: count} if 0 in self._counters else {}, regulars_seen)
-
     def fast_scan_state_classes(self) -> tuple:
-        """Multi-class variant of :meth:`fast_scan_state`.
+        """Mutable state an inlined observation scan advances.
 
         Returns ``(seen_any, window_start, window_bytes, estimate,
         counters)`` where ``counters`` is a mutable copy of the per-class
-        1-and-n counters.  Used by the columnar fat-tree driver, which
-        recomputes each packet's path class externally (it knows the
-        wiring that built this sender's ``classify``): per observed
-        regular packet the scan folds the EWMA windows and adds the bytes
-        exactly as :meth:`fast_scan_state` describes, then — for packets
-        whose class is a known counter key — bumps that class's counter
-        against ``policy.gap(estimate)`` and emits
-        :meth:`make_reference` for the class on trigger.  Packets with no
-        class (``None``) update only the utilization, exactly like
-        :meth:`on_regular`.
+        1-and-n counters.  The one consumer is
+        :func:`repro.sim.scan.tapped_scan`, which gets each packet's path
+        class from its caller (which knows the classifier), applies per
+        observed packet exactly the update algebra of :meth:`on_regular`
+        and hands the state back via :meth:`fast_scan_commit_classes`.
+        The equivalence suites assert the scan is bitwise-identical to
+        per-packet :meth:`on_regular` calls.
         """
         u = self.utilization
         return (u._seen_any, u._window_start, u._window_bytes, u._estimate,
@@ -206,7 +175,7 @@ class RliSender:
                                  window_bytes: int, estimate: float,
                                  counters: Dict[int, int],
                                  regulars_seen: int) -> None:
-        """Write a multi-class inlined scan's advanced state back (see
+        """Write an inlined scan's advanced state back (see
         :meth:`fast_scan_state_classes`)."""
         u = self.utilization
         u._seen_any = seen_any
@@ -216,8 +185,8 @@ class RliSender:
         self._counters.update(counters)
         self.regulars_seen += regulars_seen
 
-    def make_reference(self, path_class: int, now: float) -> Packet:
-        """Build a timestamped reference packet for *path_class*."""
+    def build_reference(self, path_class: int, now: float) -> Packet:
+        """A timestamped reference packet for *path_class*; counts nothing."""
         template = self.templates[path_class]
         ref = Packet(
             src=template.src,
@@ -232,8 +201,12 @@ class RliSender:
             ref_timestamp=self.clock.now(now),
         )
         ref.tap_time = now
-        self.refs_injected += 1
         return ref
+
+    def make_reference(self, path_class: int, now: float) -> Packet:
+        """:meth:`build_reference`, counted in ``refs_injected``."""
+        self.refs_injected += 1
+        return self.build_reference(path_class, now)
 
     @property
     def current_gap(self) -> int:

@@ -276,22 +276,28 @@ class DistributedRunner(ParallelRunner):
         # is not a failed join — workers connecting through a high-latency
         # path (shaping proxy, WAN) retry the handshake within their own
         # budget, and only a worker that *exited* is proof of failure.
+        # Once one has exited the run is lost, but the report waits (up to
+        # the same deadline) until every worker has joined or exited, so
+        # the counts it gives are final, not a moment of a racing handshake.
         deadline = time.monotonic() + self.join_timeout
-        while time.monotonic() < deadline:
-            if broker.worker_count() >= self.workers:
+        while True:
+            joined = broker.worker_count()
+            if joined >= self.workers:
                 return
-            if any(p.poll() is not None for p in spawned):
-                break  # a fresh worker already exited: fail fast
+            exited = sum(1 for p in spawned if p.poll() is not None)
+            if exited and joined + exited >= self.workers:
+                break
+            if time.monotonic() >= deadline:
+                break
             time.sleep(0.05)
-        joined = broker.worker_count()
-        if joined >= self.workers:
-            return
+        pending = max(0, self.workers - joined - exited)
         exits = [p.poll() for p in self._procs]
         raise RuntimeError(
             f"only {joined} of {self.workers} workers joined the embedded "
-            f"broker (spawned {len(self._procs)}, exit codes {exits}); "
-            f"check the workers' stderr — a fingerprint or authkey "
-            f"mismatch exits with a reason there"
+            f"broker ({exited} exited, {pending} pending; spawned "
+            f"{len(self._procs)}, exit codes {exits}); check the workers' "
+            f"stderr — a fingerprint or authkey mismatch exits with a "
+            f"reason there"
         )
 
     def wait_for_workers(self, count: int, timeout: float = 30.0) -> bool:

@@ -21,47 +21,14 @@ pipeline driver and the event engine guarantee this; the queue asserts it.
 
 from __future__ import annotations
 
-import math
 from typing import Optional, Tuple
 
 import numpy as np
 
 from ..net.packet import Packet
+from .scan import _drop_free_threshold, fold_stats
 
 __all__ = ["FifoQueue", "QueueStats"]
-
-
-def _scatter_merge(a, b, pos_a, pos_b, dtype):
-    """Merge two arrays into their precomputed merged positions.
-
-    Shared by the pipeline and chain batch drivers, whose two
-    ``searchsorted`` passes compute each element's merged position with
-    ``heapq.merge``'s tie rule.
-    """
-    out = np.empty(len(a) + len(b), dtype=dtype)
-    out[pos_a] = a
-    out[pos_b] = b
-    return out
-
-
-def _drop_free_threshold(buffer_bytes: int, max_size: int, rate_Bps: float) -> float:
-    """Largest certified drop-free backlog time for a batch of arrivals.
-
-    Returns a value ``thr`` such that any arrival seeing ``free_at - t <=
-    thr`` provably survives the tail-drop test for every packet size up to
-    *max_size* — letting the batch scans skip the per-packet drop
-    arithmetic away from buffer-full territory.  The certificate is exact:
-    float multiplication/addition by positive values are monotone, so
-    verifying the test expression at ``(thr, max_size)`` bounds it for all
-    smaller backlogs and sizes; ``thr`` is nudged down by ulps until the
-    verification passes.  Returns ``-inf`` when no positive threshold can
-    be certified (buffer close to or below the packet size), which sends
-    every packet down the exact test.
-    """
-    thr = (buffer_bytes - max_size) / rate_Bps
-    while thr > 0.0 and thr * rate_Bps + max_size > buffer_bytes:
-        thr = math.nextafter(thr, -math.inf)
-    return thr if thr > 0.0 else -math.inf
 
 
 class QueueStats:
@@ -182,7 +149,7 @@ class FifoQueue:
     def offer_batch(
         self, arrivals: np.ndarray, sizes: np.ndarray
     ) -> Tuple[np.ndarray, np.ndarray]:
-        """Offer a whole sorted arrival array; the pipeline fast path's core.
+        """Offer a whole sorted arrival array: the plain (untapped) scan.
 
         Parameters are parallel arrays: arrival times (non-decreasing) and
         wire sizes in bytes.  Returns ``(departures, accepted)`` — departure
@@ -212,9 +179,8 @@ class FifoQueue:
         t_l = (arrivals + self.proc_delay).tolist()
         svc_l = (sizes / self.rate_Bps).tolist()
 
-        # the scan itself carries only what the recurrence needs (free_at
-        # and the drop test); counters and delay statistics are folded in
-        # afterwards from the departure array, with identical results
+        # the scan carries only the recurrence (free_at and the drop test);
+        # statistics are folded in afterwards, with identical results
         fa = self._free_at
         rate_Bps = self.rate_Bps
         buffer_bytes = self.buffer_bytes
@@ -260,27 +226,8 @@ class FifoQueue:
         )
         acc_dep = departures[accepted_mask] if dropped else departures
         bytes_in = int(sizes.sum()) if n else 0  # reprolint: disable=BATCH003 -- int64 byte counter; integer addition is exact in any order
-        stats = self.stats
-        stats.arrivals += n
-        stats.bytes_in += bytes_in
-        stats.accepted += n - dropped
-        stats.dropped += dropped
-        stats.bytes_accepted += bytes_in - bytes_drop
-        stats.bytes_dropped += bytes_drop
-        if len(acc_dep):
-            # delay_i = departure_i - arrival_i elementwise (same operands
-            # as the scalar path); the explicit loop reproduces the
-            # sequential `total_delay += delay` accumulation bit for bit —
-            # builtin sum() would not (it compensates rounding on 3.12+)
-            delay_l = (acc_dep - arrivals[accepted_mask]).tolist()
-            total_delay = stats.total_delay
-            for delay in delay_l:
-                total_delay += delay
-            stats.total_delay = total_delay
-            peak = max(delay_l)
-            if peak > stats.max_delay:
-                stats.max_delay = peak
-            stats.last_departure = float(acc_dep[-1])
+        fold_stats(self.stats, n, bytes_in, dropped, bytes_drop, acc_dep,
+                   arrivals[accepted_mask])
         return departures, accepted_mask
 
     def utilization(self, duration: float) -> float:

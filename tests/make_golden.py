@@ -72,9 +72,27 @@ def compute_fig5(batch=False):
     }
 
 
+def compute_aqm(batch=False):
+    """Tail-drop vs RED rows (raw floats): pins the RED queues' numbers,
+    whose drop lotteries are seeded from the queue names."""
+    from repro.experiments.extensions import run_aqm_comparison
+
+    return {
+        "scale": GOLDEN_SCALE,
+        "seed": GOLDEN_SEED,
+        "rows": [
+            {"discipline": name, "regular_loss": loss,
+             "median_mean_re": median_re, "refs_lost": refs_lost}
+            for name, loss, median_re, refs_lost in run_aqm_comparison(
+                golden_config(), run_seed=GOLDEN_SEED, batch=batch)
+        ],
+    }
+
+
 def main() -> int:
     GOLDEN_DIR.mkdir(exist_ok=True)
-    for name, compute in (("fig4ab", compute_fig4ab), ("fig5", compute_fig5)):
+    for name, compute in (("fig4ab", compute_fig4ab), ("fig5", compute_fig5),
+                          ("aqm", compute_aqm)):
         path = GOLDEN_DIR / f"{name}_scale{GOLDEN_SCALE}_seed{GOLDEN_SEED}.json"
         path.write_text(json.dumps(compute(), indent=2) + "\n")
         print(f"wrote {path}")

@@ -322,6 +322,60 @@ class TestBackendSelection:
             make_runner(backend="serial", max_retries=3)
 
 
+class TestJoinReport:
+    """The partial-join error reports final counts, not the moment the
+    first worker exited while another was still in its handshake."""
+
+    class FakeProc:
+        def __init__(self, code):
+            self.code = code
+
+        def poll(self):
+            return self.code
+
+    class FakeBroker:
+        """Counts joins: worker i has joined once polled more than
+        ``joins_after[i]`` times."""
+
+        def __init__(self, joins_after):
+            self.joins_after = joins_after
+            self.polls = 0
+
+        def worker_count(self):
+            self.polls += 1
+            return sum(1 for after in self.joins_after if self.polls > after)
+
+    def runner(self, codes, joins_after, join_timeout=30.0):
+        test = self
+
+        class Scripted(DistributedRunner):
+            def _embedded_broker(self):
+                return broker
+
+            def spawn_worker(self, extra_env=None):
+                proc = test.FakeProc(codes[len(self._procs)])
+                self._procs.append(proc)
+                return proc
+
+        broker = self.FakeBroker(joins_after)
+        return Scripted(workers=len(codes), join_timeout=join_timeout)
+
+    def test_waits_for_the_other_handshake_after_an_exit(self):
+        # worker 0 exits at once; worker 1 joins on the broker's 5th poll
+        runner = self.runner([3, None], joins_after=[4])
+        with pytest.raises(RuntimeError,
+                           match=r"only 1 of 2 workers joined .*"
+                                 r"\(1 exited, 0 pending;"):
+            runner._ensure_cluster()
+
+    def test_deadline_reports_pending_workers(self):
+        runner = self.runner([None, None], joins_after=[], join_timeout=0.1)
+        with pytest.raises(RuntimeError,
+                           match=r"only 0 of 2 workers joined .*"
+                                 r"\(0 exited, 2 pending;"):
+            runner._ensure_cluster()
+
+
 # ----------------------------------------------------------------------
 # integration: real broker + worker subprocesses
 

@@ -128,3 +128,27 @@ class TestPipelineBasics:
         TwoSwitchPipeline(CFG).run(regs, crs, receiver=rx)
         times = [t for _, t in rx.seen]
         assert times == sorted(times)
+
+    def test_non_regular_packets_in_the_regular_stream(self):
+        """The pipeline runs on the chain's driver, so the chain's rules
+        hold: only REGULAR packets reach the sender, a REFERENCE packet
+        rides through unseen by it, and a CROSS packet leaves after
+        Switch 1."""
+        rx = RecordingReceiver()
+        sender = CountingSender(1)
+        stray_ref = Packet(src=0, dst=0, size=64, ts=0.01,
+                           kind=PacketKind.REFERENCE, sender_id=1,
+                           ref_timestamp=0.01)
+        stray_cross = cross(0.02)
+        result = TwoSwitchPipeline(CFG).run(
+            [regular(0.0), stray_ref, stray_cross, regular(0.03, sport=2)], [],
+            sender=sender, receiver=rx)
+        assert sender.count == 2
+        assert [p.kind for p, _ in rx.seen] == [
+            PacketKind.REGULAR, PacketKind.REFERENCE, PacketKind.REFERENCE,
+            PacketKind.REGULAR, PacketKind.REFERENCE]
+        assert rx.seen[2][0] is stray_ref and stray_ref.tap_time == 0.01
+        assert stray_cross.tap_time is None
+        assert result.queue1.stats.arrivals == 6  # 4 offered + 2 injected
+        assert result.arrivals2[PacketKind.CROSS] == 0
+        assert result.refs_injected == 2

@@ -103,6 +103,14 @@ NUMPY_NAMES = frozenset({"np", "numpy"})
 # gate on `batch_capable` before calling another object's `*_batch`.
 BATCH_GATE_SCOPE = ("repro/sim/",)
 
+# The sender's inlined-scan state pair has one consumer, the tapped scan
+# (BATCH004); a second consumer would be a second copy of the sender
+# algebra.  The definitions in core/sender.py are not calls.
+SCAN_STATE_CALLS = frozenset({"fast_scan_state_classes",
+                              "fast_scan_commit_classes"})
+SCAN_STATE_SCOPE = ("repro/",)
+SCAN_STATE_OWNER = ("repro/sim/scan.py",)
+
 # -- observability (OBS) ------------------------------------------------
 
 # Kernel scope (everything the DET rules keep pure) may reach the obs

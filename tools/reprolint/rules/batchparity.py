@@ -16,6 +16,9 @@ BATCH003  float-reassociating reduction (np.sum / .sum() / np.dot /
           cumsum / prod / einsum) in batch-kernel scope; spell it
           np.add.reduce / np.add.accumulate, or suppress with a
           justification when the dtype makes it exact (integers)
+BATCH004  the sender's inlined-scan state pair
+          (`fast_scan_state_classes` / `fast_scan_commit_classes`) used
+          outside `sim/scan.py`, the one scan that carries a sender
 """
 
 from __future__ import annotations
@@ -115,6 +118,24 @@ def _check_reducers(ctx: FileContext) -> Findings:
         )
 
 
+def _check_scan_state(ctx: FileContext) -> Findings:
+    if not ctx.in_scope(config.SCAN_STATE_SCOPE) or ctx.in_scope(
+            config.SCAN_STATE_OWNER):
+        return
+    for node in ast.walk(ctx.tree):
+        if not isinstance(node, ast.Call):
+            continue
+        func = node.func
+        name = (func.attr if isinstance(func, ast.Attribute)
+                else func.id if isinstance(func, ast.Name) else None)
+        if name in config.SCAN_STATE_CALLS:
+            yield node.lineno, (
+                f"{name}() outside sim/scan.py: the sender algebra lives "
+                f"in one scan — call repro.sim.scan.tapped_scan instead "
+                f"(docs/internals-batch.md)"
+            )
+
+
 RULES = [
     Rule("BATCH001", "error",
          "public *_batch entry point without an object-path sibling",
@@ -125,4 +146,7 @@ RULES = [
     Rule("BATCH003", "error",
          "float-reassociating numpy reduction in batch-kernel scope",
          _check_reducers),
+    Rule("BATCH004", "error",
+         "sender scan-state call outside the one tapped scan",
+         _check_scan_state),
 ]
