@@ -484,7 +484,7 @@ def _cmd_extensions(args) -> int:
     if "granularity" in studies:
         rows = ext.run_granularity_comparison(
             n_packets=max(4000, int(20_000 * scale)), runner=runner,
-            shards=args.shards, batch=batch)
+            shards=args.shards)
         banner("granularity: full RLI vs RLIR")
         print(format_table(
             ["deployment", "instances", "segments", "culprit", "granularity"],

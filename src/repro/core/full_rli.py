@@ -38,7 +38,8 @@ from ..traffic.trace import Trace
 from .demux import PathClassifierDemux, UpstreamPrefixDemux
 from .flowstats import FlowStatsTable
 from .injection import InjectionPolicy, StaticInjection
-from .obslog import make_observation_log
+from .mesh import receiver_tap, sender_tap
+from .obslog import ObservationColumns
 from .receiver import RliReceiver
 from .sender import RefTemplate, RliSender
 
@@ -94,7 +95,6 @@ class FullRliDeployment:
         self.estimator = estimator
         self.clock_factory = clock_factory or PerfectClock
         self.record_observations = record_observations
-        self.engine: Optional[Engine] = None
         self.receivers: Dict[str, RliReceiver] = {}
         self.senders: Dict[str, RliSender] = {}
         self._wired = False
@@ -105,7 +105,6 @@ class FullRliDeployment:
         if self._wired:
             raise RuntimeError("deployment already wired")
         self._wired = True
-        self.engine = engine
         ft = self.fattree
         half = ft.k // 2
         src_pod, src_e = self.src
@@ -119,7 +118,7 @@ class FullRliDeployment:
         for u in range(half):
             agg = ft.aggs[src_pod][u]
             sender = self._attach_sender(
-                src_edge, ft.port_toward(src_edge, agg),
+                engine, src_edge, ft.port_toward(src_edge, agg),
                 sender_id=SEG_A_BASE + u,
                 templates={0: RefTemplate(src_edge.address, agg.address)},
                 classify=None,
@@ -137,7 +136,7 @@ class FullRliDeployment:
                 core = ft.cores[u][j]
                 sid = SEG_B_BASE + u * half + j
                 sender = self._attach_sender(
-                    agg, ft.port_toward(agg, core),
+                    engine, agg, ft.port_toward(agg, core),
                     sender_id=sid,
                     templates={0: RefTemplate(agg.address, core.address)},
                     classify=None,
@@ -157,7 +156,7 @@ class FullRliDeployment:
                 core_sender_of[core.node_id] = sid
                 dst_agg = ft.aggs[dst_pod][u]
                 sender = self._attach_sender(
-                    core, ft.port_toward(core, dst_agg),
+                    engine, core, ft.port_toward(core, dst_agg),
                     sender_id=sid,
                     templates={0: RefTemplate(core.address, dst_agg.address)},
                     classify=self._dst_filter(dst_prefix),
@@ -183,7 +182,7 @@ class FullRliDeployment:
             sid = SEG_D_BASE + u
             agg_sender_of[u] = sid
             sender = self._attach_sender(
-                dst_agg, ft.port_toward(dst_agg, dst_edge),
+                engine, dst_agg, ft.port_toward(dst_agg, dst_edge),
                 sender_id=sid,
                 templates={0: RefTemplate(dst_agg.address, dst_edge.address)},
                 classify=self._dst_filter(dst_prefix),
@@ -233,8 +232,8 @@ class FullRliDeployment:
 
     # ------------------------------------------------------------------
 
-    def _attach_sender(self, switch: Switch, port_index: int, sender_id: int,
-                       templates, classify) -> RliSender:
+    def _attach_sender(self, engine: Engine, switch: Switch, port_index: int,
+                       sender_id: int, templates, classify) -> RliSender:
         port = switch.ports[port_index]
         sender = RliSender(
             sender_id=sender_id,
@@ -244,20 +243,10 @@ class FullRliDeployment:
             classify=classify,
             clock=self.clock_factory(),
         )
-
-        def tap(packet: Packet, now: float) -> None:
-            if not packet.is_regular:
-                return
-            packet.tap_time = now
-            refs = sender.on_regular(packet, now)
-            if refs:
-                for ref in refs:
-                    self.engine.forward_injected(ref, switch.inject(ref, now, port_index))
-
-        port.add_enqueue_tap(tap)
+        port.add_enqueue_tap(sender_tap(engine, switch, port_index, sender))
         return sender
 
-    def observation_logs(self) -> List[Tuple[str, list]]:
+    def observation_logs(self) -> List[Tuple[str, ObservationColumns]]:
         """(segment name, recorded events) per receiver (after a run)."""
         if not self.record_observations:
             raise RuntimeError("deployment built without record_observations")
@@ -266,15 +255,10 @@ class FullRliDeployment:
     def _attach_receiver(self, switch: Switch, name: str, demux) -> RliReceiver:
         receiver = RliReceiver(demux=demux, clock=self.clock_factory(),
                                estimator=self.estimator,
-                               observation_log=make_observation_log(
-                                   self.record_observations),
-                               record_only=bool(self.record_observations))
-
-        def tap(packet: Packet, now: float, in_port: int) -> None:
-            if packet.is_regular or packet.is_reference:
-                receiver.observe(packet, now)
-
-        switch.add_arrival_tap(tap)
+                               observation_log=(ObservationColumns()
+                                                if self.record_observations
+                                                else None))
+        switch.add_arrival_tap(receiver_tap(receiver))
         self.receivers[name] = receiver
         return receiver
 

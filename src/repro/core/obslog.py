@@ -1,44 +1,42 @@
-"""Array-backed observation logs: columns instead of per-event tuples.
+"""Observation logs: the one recorded form of a receiver's event stream.
 
-A recorded receiver (``RliReceiver(observation_log=…)``) appends one event
-per observed packet — ``(REF_OBS, stream, now, delay)`` or ``(REG_OBS,
-stream, now, flow_key, truth)``.  The tuple representation costs ~200
-bytes per event in object headers and pointers; at trace scale a single
-condition's log is millions of events, which bloats the prepared-artifact
-memory that forked shard workers inherit and that distributed workers
-rebuild per process.
+A recording receiver (``RliReceiver(observation_log=ObservationColumns())``,
+or a deployment's ``record_observations=True``) appends one event per
+observed packet — ``(REF_OBS, stream, now, delay)`` or ``(REG_OBS, stream,
+now, flow_key, truth)`` — and skips live estimation: replaying the log
+(:mod:`repro.core.replay`) rebuilds its per-flow tables, in full or one
+flow shard at a time.
 
-:class:`ObservationColumns` stores the same stream as eight flat typed
-columns (tag, stream, time, value, and the five flow-key fields) — ~49
-bytes per event, no per-event objects, and genuinely copy-on-write under
-``fork`` (a tuple log's reference counts dirty its pages the moment a
-child iterates it).  Iteration yields the *exact* tuples the list mode
-would hold — every ``float`` and ``int`` round-trips bit-exactly through
-the typed arrays — so replaying either representation produces
-byte-identical tables, which the equivalence suite asserts.
-
-Tuple mode (a plain ``list``) stays the compatibility default everywhere;
-pass ``"array"`` to the deployments' ``record_observations=`` knob (or an
-:class:`ObservationColumns` straight to a receiver) to opt in.
+:class:`ObservationColumns` stores that stream as eight flat typed columns
+(tag, stream, time, value, and the five flow-key fields) — ~49 bytes per
+event where a list of tuples costs ~200, no per-event objects, and
+genuinely copy-on-write under ``fork`` (iterating a tuple list would dirty
+its pages through reference counts), which matters for the
+prepared-artifact memory that forked shard workers inherit and that
+distributed workers rebuild per process.  Iteration yields the canonical
+event tuples, every ``float`` and ``int`` round-tripping bit-exactly
+through the typed arrays, so replay reads the columns and any plain
+sequence of events alike.
 """
 
 from __future__ import annotations
 
 from array import array
-from typing import Iterator, Tuple, Union
+from typing import Iterator
 
 from .receiver import REF_OBS, REG_OBS
 
-__all__ = ["ObservationColumns", "make_observation_log"]
+__all__ = ["ObservationColumns"]
 
 _NO_KEY = (0, 0, 0, 0, 0)  # key columns for reference rows (never read back)
 
 
 class ObservationColumns:
-    """A columnar observation log with the list API receivers use.
+    """A columnar observation log.
 
-    Only ``append``, ``len`` and iteration are needed by the recording and
-    replay machinery; iteration reconstructs the canonical event tuples.
+    The per-object receiver path ``append``s events, the columnar one
+    :meth:`extend_batch`es them; replay needs only ``len`` and iteration,
+    which reconstructs the canonical event tuples.
     """
 
     __slots__ = ("_tags", "_streams", "_times", "_values", "_keys")
@@ -137,20 +135,3 @@ class ObservationColumns:
 
     def __repr__(self) -> str:
         return f"ObservationColumns(events={len(self)}, bytes={self.nbytes})"
-
-
-def make_observation_log(mode: Union[bool, str, None]):
-    """The log object for a ``record_observations`` setting.
-
-    ``False``/``None`` → no recording; ``True``/``"tuple"`` → a plain list
-    (the compatibility default); ``"array"`` → :class:`ObservationColumns`.
-    """
-    if mode is None or mode is False:
-        return None
-    if mode is True or mode == "tuple":
-        return []
-    if mode == "array":
-        return ObservationColumns()
-    raise ValueError(
-        f"record_observations must be False, True, 'tuple' or 'array': {mode!r}"
-    )

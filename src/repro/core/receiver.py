@@ -20,7 +20,7 @@ paper's evaluation.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence
+from typing import TYPE_CHECKING, Dict, List, Optional, Sequence
 
 import numpy as np
 
@@ -30,6 +30,9 @@ from .demux import Demux
 from .flowstats import BoundedFlowStatsTable, FlowStatsTable, StreamingStats, welford_grouped
 from .interpolation import Estimate, InterpolationBuffer, interpolate_batch
 from .quantiles import FlowQuantileTable
+
+if TYPE_CHECKING:
+    from .obslog import ObservationColumns
 
 __all__ = ["RliReceiver", "REF_OBS", "REG_OBS"]
 
@@ -65,20 +68,15 @@ class RliReceiver:
         (:attr:`flow_estimated_quantiles` / :attr:`flow_true_quantiles`) —
         the tail view mean/σ cannot give.
     observation_log:
-        Optional appendable log the receiver writes its post-demux
-        observation events to (see :mod:`repro.core.replay`) — a plain
-        list, or a columnar :class:`~repro.core.obslog.ObservationColumns`
-        for the same events at a fraction of the memory.  A recorded log
-        can be replayed — in full or restricted to one flow shard — to
-        rebuild this receiver's per-flow tables without re-running the
-        simulation; the within-condition sharding of the sweep runner
-        (serial, process-pool, or distributed) is built on it.
-    record_only:
-        With an ``observation_log``, skip the live estimation work
-        (interpolation buffers and flow tables stay empty): the log is the
-        only output, and replaying it would recompute every estimate
-        anyway.  Demux classification, clocking, and the tap/measurement
-        accounting are unchanged, so the log is identical either way.
+        Optional :class:`~repro.core.obslog.ObservationColumns` the
+        receiver records its post-demux observation events to instead of
+        estimating live: interpolation buffers and flow tables stay empty,
+        since replaying the log (:mod:`repro.core.replay`) — in full or
+        restricted to one flow shard — rebuilds them without re-running
+        the simulation; the within-condition sharding of the sweep runner
+        (serial, process-pool, or distributed) is built on it.  Demux
+        classification, clocking, and the tap/measurement accounting are
+        unchanged.
     """
 
     def __init__(
@@ -89,14 +87,10 @@ class RliReceiver:
         collect_estimates: bool = False,
         max_flows: Optional[int] = None,
         quantiles: Optional[Sequence[float]] = None,
-        observation_log: Optional[list] = None,
-        record_only: bool = False,
+        observation_log: Optional[ObservationColumns] = None,
     ):
-        if record_only and observation_log is None:
-            raise ValueError("record_only requires an observation_log")
         self.demux = demux
         self.observation_log = observation_log
-        self.record_only = record_only
         self.clock = clock or PerfectClock()
         self.estimator = estimator
         self.collect_estimates = collect_estimates
@@ -136,8 +130,7 @@ class RliReceiver:
             delay = self.clock.now(now) - packet.ref_timestamp
             if self.observation_log is not None:
                 self.observation_log.append((REF_OBS, stream, now, delay))
-                if self.record_only:
-                    return
+                return
             for estimate in self._buffer(stream).add_reference(now, delay):
                 self._record(estimate)
         elif packet.is_regular:
@@ -155,8 +148,7 @@ class RliReceiver:
             if self.observation_log is not None:
                 self.observation_log.append(
                     (REG_OBS, stream, now, packet.flow_key, truth))
-                if self.record_only:
-                    return
+                return
             self.flow_true.add(packet.flow_key, truth)
             if self.flow_true_quantiles is not None:
                 self.flow_true_quantiles.add(packet.flow_key, truth)
@@ -174,15 +166,8 @@ class RliReceiver:
         a path-classifier demux only advertises it when its classifier is
         vectorizable).  Observation logs are recorded on the fast path too
         — bulk-appended in observation order, byte-identical to per-event
-        appends — for the plain ``list`` and
-        :class:`~repro.core.obslog.ObservationColumns` representations;
-        an exotic log type falls back to the per-object path.
+        appends.
         """
-        log = self.observation_log
-        if log is not None and not (
-            isinstance(log, list) or hasattr(log, "extend_batch")
-        ):
-            return False
         return bool(getattr(self.demux, "batch_capable", False)) and hasattr(
             self.demux, "classify_regular_batch"
         )
@@ -264,6 +249,7 @@ class RliReceiver:
                 ref_log[1].append(stream)
                 ref_log[2].append(t)
                 ref_log[3].append(delay)
+                continue
             entry = refs_by_stream.get(stream)
             if entry is None:
                 entry = refs_by_stream[stream] = [[], [], []]
@@ -300,8 +286,7 @@ class RliReceiver:
         if self.observation_log is not None:
             self._log_batch(ref_log, mpos, mstreams, mtimes, mhidx, truth,
                             headers)
-            if self.record_only:
-                return
+            return
 
         a_col, b_col = headers.packed_flow_keys()
         self._fold_flow_samples(
@@ -418,39 +403,18 @@ class RliReceiver:
 
         Reference and measured-regular events are interleaved by their
         observation positions, reproducing the exact per-event append
-        sequence (and values) of the scalar path; plain lists take tuple
-        events, :class:`~repro.core.obslog.ObservationColumns` a bulk
-        column append.
+        sequence (and values) of the scalar path in one bulk column append.
         """
         n_ref = len(ref_log[0])
         n_reg = len(mpos)
         total = n_ref + n_reg
         if not total:
             return
-        log = self.observation_log
         pos_all = np.concatenate([
             np.asarray(ref_log[0], dtype=np.int64),
             np.asarray(mpos, dtype=np.int64),
         ])
-        if isinstance(log, list):
-            reg_keys = zip(
-                headers.src[mhidx].tolist(), headers.dst[mhidx].tolist(),
-                headers.sport[mhidx].tolist(), headers.dport[mhidx].tolist(),
-                headers.proto[mhidx].tolist(),
-            )
-            events = [
-                (REF_OBS, s, t, d)
-                for s, t, d in zip(ref_log[1], ref_log[2], ref_log[3])
-            ] + [
-                (REG_OBS, s, t, key, tr)
-                for s, t, key, tr in zip(
-                    mstreams.tolist(), mtimes.tolist(), reg_keys,
-                    truth.tolist(),
-                )
-            ]
-            log.extend(events[i] for i in np.argsort(pos_all, kind="stable").tolist())
-            return
-        # columnar log: scatter both event classes into their merged slots
+        # scatter both event classes into their merged slots
         rank = np.empty(total, dtype=np.intp)
         rank[np.argsort(pos_all, kind="stable")] = np.arange(total)
         ref_rank = rank[:n_ref]
@@ -473,7 +437,8 @@ class RliReceiver:
             key_col = np.zeros(total, dtype=np.int64)
             key_col[reg_rank] = column[mhidx]
             keys.append(key_col)
-        log.extend_batch(tags, streams_all, times_all, values_all, keys)
+        self.observation_log.extend_batch(tags, streams_all, times_all,
+                                          values_all, keys)
 
     def _fold_flow_samples(
         self, table, qtable, headers, hidx, a, b, values

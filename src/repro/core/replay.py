@@ -7,17 +7,15 @@ bracket it — never on other flows' regular packets (see
 stage embarrassingly parallel *by flow* even though the simulation that
 produced the observations is strictly sequential.
 
-This module exploits that: a receiver created with ``observation_log=[...]``
-(a list, or the columnar :class:`~repro.core.obslog.ObservationColumns` —
-any appendable iterable of event tuples) records its post-demux event
-stream during one (sequential, memoized) simulation;
-:func:`replay_observations` then rebuilds the per-flow tables from the log
-— optionally restricted to one flow shard (every shard replays all
-reference events but only its own flows' regular events) — and
-:func:`merge_shard_tables` reassembles the shards in sorted-key order.
-:func:`replay_observations_multi` replays a *chunk* of shards in one pass
-(the dispatch unit of the distributed backend) with bitwise-identical
-per-shard output.
+This module exploits that: a receiver recording into an
+:class:`~repro.core.obslog.ObservationColumns` log (any iterable of event
+tuples replays alike) writes its post-demux event stream during one
+(sequential, memoized) simulation; :func:`replay_observations_multi` then
+rebuilds the per-flow tables from the log for a *chunk* of flow shards in
+one pass (every shard replays all reference events but only its own
+flows' regular events) — the dispatch unit of the distributed backend —
+and :func:`merge_shard_tables` reassembles the shards in sorted-key
+order.  :func:`replay_observations` is the one-shard case.
 
 Because shard membership is a pure function of the flow key
 (:func:`~repro.traffic.divider.flow_shard`) and each flow's samples are
@@ -27,7 +25,7 @@ for any shard count, which the determinism suite asserts.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Sequence, Tuple
+from typing import Dict, Iterable, Sequence, Tuple
 
 from ..traffic.divider import flow_shard
 from .flowstats import FlowStatsTable, StreamingStats
@@ -59,39 +57,10 @@ def replay_observations(
     With ``n_shards > 1`` only regular events whose flow hashes to *shard*
     are replayed; reference events always are (they define the
     interpolation intervals every flow estimates against), so each flow's
-    estimates come out identical to an unsharded replay.
+    estimates come out identical to an unsharded replay.  This is
+    :func:`replay_observations_multi` over the one-shard chunk.
     """
-    if not 0 <= shard < n_shards:
-        raise ValueError(f"shard must be in [0, {n_shards}): {shard}")
-    buffers: Dict[int, InterpolationBuffer] = {}
-    estimated = FlowStatsTable()
-    true = FlowStatsTable()
-    unestimated = 0
-    for event in events:
-        tag = event[0]
-        if tag == REF_OBS:
-            _, stream, now, delay = event
-            buffer = buffers.get(stream)
-            if buffer is None:
-                buffer = buffers[stream] = InterpolationBuffer(estimator)
-            for est in buffer.add_reference(now, delay):
-                estimated.add(est.key, est.estimated)
-        elif tag == REG_OBS:
-            _, stream, now, key, truth = event
-            if n_shards > 1 and flow_shard(key, n_shards) != shard:
-                continue
-            buffer = buffers.get(stream)
-            if buffer is None:
-                buffer = buffers[stream] = InterpolationBuffer(estimator)
-            true.add(key, truth)
-            buffer.add_regular(now, key, truth)
-        else:
-            raise ValueError(f"unknown observation event tag: {tag!r}")
-    for buffer in buffers.values():
-        for est in buffer.flush():
-            estimated.add(est.key, est.estimated)
-        unestimated += buffer.unestimated
-    return ReplayTables(estimated, true, unestimated)
+    return replay_observations_multi(events, estimator, (shard,), n_shards)[shard]
 
 
 def replay_observations_multi(
@@ -107,10 +76,9 @@ def replay_observations_multi(
     single scan instead of one scan per shard (reference events — the
     expensive interpolation state — are ~1 % of a log, so a k-shard chunk
     costs ≈1 pass, not k).  Each shard keeps its own buffers and tables
-    and sees exactly the event subsequence :func:`replay_observations`
-    would feed it, in the same order — so every per-shard result is
-    **bitwise identical** to an individual replay, which the distributed
-    determinism suite asserts.
+    and sees exactly its own event subsequence, in log order — so every
+    per-shard result is **bitwise identical** to an individual replay,
+    which the distributed determinism suite asserts.
     """
     shards = tuple(shards)
     if len(set(shards)) != len(shards):
@@ -118,43 +86,39 @@ def replay_observations_multi(
     for shard in shards:
         if not 0 <= shard < n_shards:
             raise ValueError(f"shard must be in [0, {n_shards}): {shard}")
-    buffers: Dict[int, Dict[int, InterpolationBuffer]] = {s: {} for s in shards}
-    estimated: Dict[int, FlowStatsTable] = {s: FlowStatsTable() for s in shards}
-    true: Dict[int, FlowStatsTable] = {s: FlowStatsTable() for s in shards}
-    unestimated: Dict[int, int] = {s: 0 for s in shards}
+    # per shard: (stream -> interpolation buffer, estimated, true)
+    state = {s: ({}, FlowStatsTable(), FlowStatsTable()) for s in shards}
     for event in events:
         tag = event[0]
         if tag == REF_OBS:
             _, stream, now, delay = event
-            for shard in shards:
-                shard_buffers = buffers[shard]
-                buffer = shard_buffers.get(stream)
+            for buffers, estimated, _ in state.values():
+                buffer = buffers.get(stream)
                 if buffer is None:
-                    buffer = shard_buffers[stream] = InterpolationBuffer(estimator)
-                add = estimated[shard].add
+                    buffer = buffers[stream] = InterpolationBuffer(estimator)
                 for est in buffer.add_reference(now, delay):
-                    add(est.key, est.estimated)
+                    estimated.add(est.key, est.estimated)
         elif tag == REG_OBS:
             _, stream, now, key, truth = event
-            shard = flow_shard(key, n_shards) if n_shards > 1 else 0
-            shard_buffers = buffers.get(shard)
-            if shard_buffers is None:
+            mine = state.get(flow_shard(key, n_shards) if n_shards > 1 else 0)
+            if mine is None:
                 continue
-            buffer = shard_buffers.get(stream)
+            buffers, _, true = mine
+            buffer = buffers.get(stream)
             if buffer is None:
-                buffer = shard_buffers[stream] = InterpolationBuffer(estimator)
-            true[shard].add(key, truth)
+                buffer = buffers[stream] = InterpolationBuffer(estimator)
+            true.add(key, truth)
             buffer.add_regular(now, key, truth)
         else:
             raise ValueError(f"unknown observation event tag: {tag!r}")
     out: Dict[int, ReplayTables] = {}
-    for shard in shards:
-        for buffer in buffers[shard].values():
-            add = estimated[shard].add
+    for shard, (buffers, estimated, true) in state.items():
+        unestimated = 0
+        for buffer in buffers.values():
             for est in buffer.flush():
-                add(est.key, est.estimated)
-            unestimated[shard] += buffer.unestimated
-        out[shard] = ReplayTables(estimated[shard], true[shard], unestimated[shard])
+                estimated.add(est.key, est.estimated)
+            unestimated += buffer.unestimated
+        out[shard] = ReplayTables(estimated, true, unestimated)
     return out
 
 

@@ -142,7 +142,6 @@ def run_granularity_comparison(
     shards: int = 1,
     trace_seed: int = 21,
     slow_factor: float = 4.0,
-    batch: bool = False,
 ) -> List[GranularityRow]:
     """Full RLI vs RLIR, one slow queue (core(0,0)→dst pod) injected.
 
@@ -151,11 +150,9 @@ def run_granularity_comparison(
     RLIR uses fewer instances (k+2 per interface pair vs per-hop pairs).
     Both deployments measure the same *trace_seed* by design (one workload,
     two architectures); the seed is part of every job's cache identity.
-    ``batch`` is accepted for driver-interface uniformity but is inert
-    here: this study's marking-demux RLIR receivers and full RLI's
-    per-hop wiring both stay on the event engine by design (see
-    ``_granularity_sim``), so the knob changes neither results nor cache
-    identity.
+    The study has no ``batch`` knob: its marking-demux RLIR receivers and
+    full RLI's per-hop wiring both stay on the event engine by design (see
+    ``_granularity_sim``).
     """
     runner = runner or ParallelRunner()
     deployments = ("full", "rlir")

@@ -77,7 +77,7 @@ class FastPathUnavailable(Exception):
     """The layered columnar pass cannot reproduce this run bit-exactly.
 
     Raised during pre-flight — a non-batchable component (exotic queue or
-    observation log, custom policy, jittered clock), prior queue state, or
+    demux, custom policy, jittered clock), prior queue state, or
     a trace outside the fabric's host blocks.  The compute phase mutates
     nothing, so catching this and re-running on the event engine is always
     safe.
@@ -95,8 +95,8 @@ def try_fast_path(fattree: FatTree, sender_taps: Dict, receiver_taps: Dict,
                   traces: Sequence, until: Optional[float] = None) -> bool:
     """Attempt one layered columnar run of *traces*; ``True`` on success.
 
-    The deployments' shared dispatch (``RlirDeployment.run`` /
-    ``RlirMesh.run``): refuses a truncated run (``until`` needs the
+    ``RlirMesh.run``'s dispatch (every RLIR deployment is a mesh):
+    refuses a truncated run (``until`` needs the
     calendar), coerces every trace to columns (any failure → ``False``),
     and treats :class:`FastPathUnavailable` as a clean miss — the compute
     phase mutates nothing, so the caller simply proceeds with the event
@@ -273,8 +273,8 @@ class FatTreeFastPath:
                     reason="receiver-finalized")
             if not rx.batch_capable:
                 raise FastPathUnavailable(
-                    f"receiver {rx!r} is not batch-capable (demux or "
-                    f"observation-log representation)",
+                    f"receiver {rx!r} is not batch-capable (its demux has "
+                    f"no vectorized regular classifier)",
                     reason="receiver-not-batch-capable")
         for tx, _spec in self.sender_taps.values():
             if not tx.policy_pure:

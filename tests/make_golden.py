@@ -89,10 +89,35 @@ def compute_aqm(batch=False):
     }
 
 
+def compute_rlir(batch=False):
+    """RLIR fat-tree rows (raw floats): the incast localization study under
+    both downstream demux methods, and the full-RLI-vs-RLIR granularity
+    comparison — the numbers of the ToR-pair wiring and its recorded-log
+    replay."""
+    from dataclasses import asdict
+
+    from repro.experiments.extensions import (
+        run_granularity_comparison,
+        run_localization_study,
+    )
+
+    return {
+        "seed": GOLDEN_SEED,
+        "localization": {
+            method: [list(row) for row in run_localization_study(
+                n_packets=2000, demux_method=method, run_seed=GOLDEN_SEED,
+                batch=batch).as_rows()]
+            for method in ("reverse-ecmp", "marking")
+        },
+        "granularity": [asdict(row) for row in
+                        run_granularity_comparison(n_packets=4000)],
+    }
+
+
 def main() -> int:
     GOLDEN_DIR.mkdir(exist_ok=True)
     for name, compute in (("fig4ab", compute_fig4ab), ("fig5", compute_fig5),
-                          ("aqm", compute_aqm)):
+                          ("aqm", compute_aqm), ("rlir", compute_rlir)):
         path = GOLDEN_DIR / f"{name}_scale{GOLDEN_SCALE}_seed{GOLDEN_SEED}.json"
         path.write_text(json.dumps(compute(), indent=2) + "\n")
         print(f"wrote {path}")

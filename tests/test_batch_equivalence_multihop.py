@@ -7,8 +7,8 @@ paths this PR vectorizes beyond it:
 * :meth:`repro.sim.chain.SwitchChain.run_batch` — multihop segment chains
   with per-hop cross traffic and an inlined first-hop sender scan;
 * :class:`repro.sim.fatpath.FatTreeFastPath` — the layered columnar
-  replacement for the event calendar behind ``RlirMesh(batch=True)`` and
-  ``RlirDeployment(batch=True)``, including its exact reconstruction of
+  replacement for the event calendar behind ``RlirMesh(batch=True)`` (and
+  its one-pair ``RlirDeployment``), including its exact reconstruction of
   the engine's ``(time, insertion seq)`` tie-break from event provenance;
 * the extension-study jobs that thread the ``batch`` knob through the
   runner (:mod:`repro.experiments.extension_jobs`).
@@ -25,7 +25,7 @@ from hypothesis import given, settings, strategies as st
 from repro.core.demux import SingleSenderDemux
 from repro.core.injection import AdaptiveInjection, StaticInjection
 from repro.core.mesh import RlirMesh
-from repro.core.obslog import make_observation_log
+from repro.core.obslog import ObservationColumns
 from repro.core.receiver import RliReceiver
 from repro.core.rlir import RlirDeployment
 from repro.core.sender import RefTemplate, RliSender
@@ -151,14 +151,13 @@ class TestChainProperty:
         if scheme:
             assert sender_state(tx_o) == sender_state(tx_b)
 
-    @pytest.mark.parametrize("log_mode", ["tuple", "array"])
-    def test_observation_log_identical(self, log_mode):
+    def test_observation_log_identical(self):
         reg, cross = build_traces(11, 600, 1200, 0.25)
         rate = reg.total_bytes * 8.0 / (0.25 * 0.5)
         model = UniformModel(0.5, seed=2)
         logs = []
         for batch in (False, True):
-            log = make_observation_log(log_mode)
+            log = ObservationColumns()
             drive_chain(batch, reg, cross, model, 3, rate, 32 * 1024,
                         "adaptive", log=log)
             logs.append(log)
@@ -330,7 +329,7 @@ class TestRlirEquivalence:
         dep = RlirDeployment(ft, src=(0, 0), dst=(1, 0),
                              policy_factory=lambda: StaticInjection(50),
                              demux_method=demux,
-                             record_observations="array" if record else False,
+                             record_observations=record,
                              clock_factory=clock_factory,
                              batch=batch)
         dep.run([t1, t2], until=until)
@@ -458,6 +457,6 @@ class TestJobEquivalence:
             assert a.cache_token() != b.cache_token()
             if hasattr(a, "prepare_key"):
                 assert a.prepare_key != b.prepare_key
-        # granularity's knob is documented inert (marking demux / full RLI
-        # stay on the engine by design): accepted by the driver, no fork
-        assert "batch" in inspect.signature(run_granularity_comparison).parameters
+        # granularity has no batch knob: its marking demux and full RLI
+        # stay on the event engine by design
+        assert "batch" not in inspect.signature(run_granularity_comparison).parameters

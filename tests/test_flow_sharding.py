@@ -93,23 +93,26 @@ class TestReplay:
             replay_observations([(7, 0, 0.0, 0.0)])
 
     def test_receiver_log_replays_to_identical_tables(self, tiny_workload):
-        """A recorded pipeline receiver replays to the exact tables the
-        live receiver accumulated."""
-        from repro.experiments.workloads import run_condition
-
-        log = []
-        sender = tiny_workload.make_sender("static")
-        receiver = tiny_workload.make_receiver(observation_log=log)
+        """A recorded pipeline receiver replays to the exact tables a live
+        receiver accumulates on the same run."""
+        from repro.core.obslog import ObservationColumns
         from repro.sim.pipeline import TwoSwitchPipeline
 
-        TwoSwitchPipeline(tiny_workload.pipeline_config).run(
-            regular=tiny_workload.regular.clone_packets(),
-            cross=tiny_workload.cross_arrivals("random", 0.67),
-            sender=sender,
-            receiver=receiver,
-            duration=tiny_workload.cfg.duration,
-        )
-        receiver.finalize()
+        def run(receiver):
+            TwoSwitchPipeline(tiny_workload.pipeline_config).run(
+                regular=tiny_workload.regular.clone_packets(),
+                cross=tiny_workload.cross_arrivals("random", 0.67),
+                sender=tiny_workload.make_sender("static"),
+                receiver=receiver,
+                duration=tiny_workload.cfg.duration,
+            )
+            receiver.finalize()
+            return receiver
+
+        log = ObservationColumns()
+        recorded = run(tiny_workload.make_receiver(observation_log=log))
+        receiver = run(tiny_workload.make_receiver())
+        assert len(recorded.flow_true) == 0  # recording replaces live estimation
         replayed = replay_observations(log)
         assert len(replayed.true) == len(receiver.flow_true)
         for key, stats in receiver.flow_true.items():

@@ -112,7 +112,8 @@ class TestFullRli:
         core2 = ft2.cores[0][0]
         core2.ports[ft2.port_toward(core2, ft2.aggs[1][0])].queue.set_rate(10e6)
         rlir = RlirDeployment(ft2, src=(0, 0), dst=(1, 0),
-                              policy_factory=lambda: StaticInjection(10))
+                              policy_factory=lambda: StaticInjection(10),
+                              demux_method="marking")
         rlir_result = rlir.run([measured_trace(ft2, 8000)])
         rlir_report = localize(rlir_result.segments(), factor=2.0,
                                floor=5e-6, min_samples=20)

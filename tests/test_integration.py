@@ -129,7 +129,8 @@ class TestDeterminism:
             trace = generate_fattree_trace(
                 TraceConfig(duration=0.5, n_packets=3000), pairs, seed=3)
             deployment = RlirDeployment(
-                ft, (0, 0), (1, 0), policy_factory=lambda: StaticInjection(20))
+                ft, (0, 0), (1, 0), policy_factory=lambda: StaticInjection(20),
+                demux_method="marking")
             result = deployment.run([trace])
             return {k: (s.count, s.mean)
                     for k, s in result.seg2_receiver.flow_estimated.items()}

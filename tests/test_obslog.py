@@ -1,17 +1,16 @@
-"""Array-backed observation logs: equivalence with tuple mode.
+"""Columnar observation logs: the one recorded form of a receiver's stream.
 
-The satellite guarantee: recording a receiver's observation stream into
-:class:`~repro.core.obslog.ObservationColumns` instead of a list changes
-*nothing* about what replays out of it — every event round-trips the
-typed columns bit-exactly, so replayed tables (and therefore every study
-built on sharded replay) are byte-identical between modes.
+Every event round-trips the typed columns bit-exactly, so replaying an
+:class:`~repro.core.obslog.ObservationColumns` log gives the same tables
+as replaying the plain event tuples it holds, and one-pass multi-shard
+replay matches shard-by-shard replay.
 """
 
 import pickle
 
 import pytest
 
-from repro.core.obslog import ObservationColumns, make_observation_log
+from repro.core.obslog import ObservationColumns
 from repro.core.receiver import REF_OBS, REG_OBS
 from repro.core.replay import replay_observations, replay_observations_multi
 
@@ -76,19 +75,6 @@ class TestObservationColumns:
         assert arrays["key"][0][1] == 167837697
 
 
-class TestMakeObservationLog:
-    def test_modes(self):
-        assert make_observation_log(None) is None
-        assert make_observation_log(False) is None
-        assert make_observation_log(True) == []
-        assert make_observation_log("tuple") == []
-        assert isinstance(make_observation_log("array"), ObservationColumns)
-
-    def test_rejects_unknown_mode(self):
-        with pytest.raises(ValueError):
-            make_observation_log("parquet")
-
-
 class TestReplayEquivalence:
     def test_synthetic_replay_identical(self):
         events = synthetic_events()
@@ -99,64 +85,27 @@ class TestReplayEquivalence:
         assert from_list.unestimated == from_columns.unestimated
 
     def test_recorded_receiver_replay_identical(self, tiny_workload):
-        """Record one real pipeline run twice — list log and columnar log —
-        and replay both: bitwise-identical tables, sharded or not."""
+        """A real pipeline run's recorded columns replay exactly like the
+        plain event tuples they hold, sharded or not."""
         from repro.sim.pipeline import TwoSwitchPipeline
 
-        logs = {"tuple": [], "array": ObservationColumns()}
-        for log in logs.values():
-            sender = tiny_workload.make_sender("static")
-            receiver = tiny_workload.make_receiver(observation_log=log,
-                                                   record_only=True)
-            TwoSwitchPipeline(tiny_workload.pipeline_config).run(
-                regular=tiny_workload.regular.clone_packets(),
-                cross=tiny_workload.cross_arrivals("random", 0.67),
-                sender=sender,
-                receiver=receiver,
-                duration=tiny_workload.cfg.duration,
-            )
-            receiver.finalize()
-        assert list(logs["array"]) == logs["tuple"]
-        full_list = replay_observations(logs["tuple"])
-        full_columns = replay_observations(logs["array"])
-        assert pickle.dumps(full_list.estimated) == pickle.dumps(full_columns.estimated)
-        for shard in range(3):
-            a = replay_observations(logs["tuple"], shard=shard, n_shards=3)
-            b = replay_observations(logs["array"], shard=shard, n_shards=3)
+        log = ObservationColumns()
+        receiver = tiny_workload.make_receiver(observation_log=log)
+        TwoSwitchPipeline(tiny_workload.pipeline_config).run(
+            regular=tiny_workload.regular.clone_packets(),
+            cross=tiny_workload.cross_arrivals("random", 0.67),
+            sender=tiny_workload.make_sender("static"),
+            receiver=receiver,
+            duration=tiny_workload.cfg.duration,
+        )
+        receiver.finalize()
+        events = list(log)
+        assert len(events) > 100
+        for shard, n_shards in ((0, 1), (0, 3), (1, 3), (2, 3)):
+            a = replay_observations(events, shard=shard, n_shards=n_shards)
+            b = replay_observations(log, shard=shard, n_shards=n_shards)
             assert pickle.dumps(a.estimated) == pickle.dumps(b.estimated)
             assert pickle.dumps(a.true) == pickle.dumps(b.true)
-
-    def test_deployment_array_mode_matches_tuple_mode(self):
-        """The record_observations knob end to end: an RLIR deployment
-        recorded in both modes replays to identical segment tables."""
-        from repro.core.injection import StaticInjection
-        from repro.core.rlir import RlirDeployment
-        from repro.sim.topology import FatTree, LinkParams
-        from repro.traffic.synthetic import TraceConfig, generate_fattree_trace
-
-        segment_logs = {}
-        for mode in ("tuple", "array"):
-            ft = FatTree(4, LinkParams(rate_bps=1e9, buffer_bytes=256 * 1024))
-            deployment = RlirDeployment(
-                ft, src=(0, 0), dst=(1, 0),
-                policy_factory=lambda: StaticInjection(20),
-                record_observations=mode,
-            )
-            pairs = [(ft.host_address(0, 0, h), ft.host_address(1, 0, g))
-                     for h in range(2) for g in range(2)]
-            trace = generate_fattree_trace(
-                TraceConfig(duration=1.0, n_packets=1500, mean_flow_pkts=12.0),
-                pairs, seed=5)
-            deployment.run([trace])
-            segment_logs[mode] = deployment.observation_logs()
-        for (name_t, log_t), (name_a, log_a) in zip(segment_logs["tuple"],
-                                                    segment_logs["array"]):
-            assert name_t == name_a
-            assert isinstance(log_a, ObservationColumns)
-            assert list(log_a) == log_t
-            replay_t = replay_observations(log_t)
-            replay_a = replay_observations(log_a)
-            assert pickle.dumps(replay_t.estimated) == pickle.dumps(replay_a.estimated)
 
 
 class TestReplayMulti:
@@ -167,8 +116,7 @@ class TestReplayMulti:
 
         log = ObservationColumns()
         sender = tiny_workload.make_sender("static")
-        receiver = tiny_workload.make_receiver(observation_log=log,
-                                               record_only=True)
+        receiver = tiny_workload.make_receiver(observation_log=log)
         TwoSwitchPipeline(tiny_workload.pipeline_config).run(
             regular=tiny_workload.regular.clone_packets(),
             cross=tiny_workload.cross_arrivals("random", 0.67),

@@ -141,7 +141,8 @@ class TestRlirDeployment:
 
     def test_cannot_wire_twice(self):
         ft = build_fattree()
-        deployment = RlirDeployment(ft, src=(0, 0), dst=(1, 0))
+        deployment = RlirDeployment(ft, src=(0, 0), dst=(1, 0),
+                                    demux_method="marking")
         deployment.run([measured_trace(ft, n_packets=200)])
         with pytest.raises(RuntimeError):
             deployment.run([measured_trace(ft, n_packets=200)])
@@ -151,7 +152,8 @@ class TestRlirDeployment:
         downstream segment; localization ranks seg2 above every seg1."""
         ft = build_fattree()
         deployment = RlirDeployment(ft, src=(0, 0), dst=(1, 0),
-                                    policy_factory=lambda: StaticInjection(20))
+                                    policy_factory=lambda: StaticInjection(20),
+                                    demux_method="marking")
         light = measured_trace(ft, n_packets=2500)
         # incast: pods 2 and 3 all sending to the destination ToR's hosts
         pairs = [(ft.host_address(p, e, h), ft.host_address(1, 0, g))
